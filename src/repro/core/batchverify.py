@@ -37,7 +37,8 @@ per-tile counterpart on this code's operand shapes:
 - the tolerance ``rtol · (W @ |tile|) + atol`` is reproduced as
   ``t = W @ |X|; t *= rtol; t += atol`` — multiplication is commutative
   in IEEE-754, so the in-place form is exact;
-- the comparison ``|fresh − strip| > tol`` is element-wise.
+- the comparison (:func:`~repro.core.multierror.checksum_mismatch`:
+  ``|fresh − strip| > tol``, or anything non-finite) is element-wise.
 
 Flagged tiles (almost always none) fall back to the unchanged per-tile
 decode in :mod:`repro.core.correct` / :mod:`repro.core.multierror`, so
@@ -76,7 +77,7 @@ class BatchVerifyEngine:
         self.n_checksums = chk.tile_shape[0]
         self.weights = vandermonde_weights(self.block_size, self.n_checksums)
         self._f64: dict[str, np.ndarray] = {}
-        self._bool = np.empty(0, dtype=np.bool_)
+        self._bool: dict[str, np.ndarray] = {}
         self._prealloc()
 
     def _prealloc(self) -> None:
@@ -100,7 +101,8 @@ class BatchVerifyEngine:
             self._ws(name, cap * b * b).fill(0.0)
         for name in ("gather_s", "fresh", "tol"):
             self._ws(name, cap * r * b).fill(0.0)
-        self._ws_bool(cap * r * b).fill(False)
+        for name in ("ok", "finite"):
+            self._ws_bool(name, cap * r * b).fill(False)
 
     # ----------------------------------------------------------- workspaces
 
@@ -111,10 +113,12 @@ class BatchVerifyEngine:
             self._f64[name] = buf
         return buf[:n]
 
-    def _ws_bool(self, n: int) -> np.ndarray:
-        if self._bool.size < n:
-            self._bool = np.empty(max(n, 2 * self._bool.size), dtype=np.bool_)
-        return self._bool[:n]
+    def _ws_bool(self, name: str, n: int) -> np.ndarray:
+        buf = self._bool.get(name)
+        if buf is None or buf.size < n:
+            buf = np.empty(max(n, 2 * (0 if buf is None else buf.size)), dtype=np.bool_)
+            self._bool[name] = buf
+        return buf[:n]
 
     # -------------------------------------------------------------- fusing
 
@@ -163,6 +167,8 @@ class BatchVerifyEngine:
 
     # ------------------------------------------------------------ detection
 
+    # Non-finite sums are flagged explicitly, so their warnings are noise.
+    @np.errstate(over="ignore", invalid="ignore")
     def detect(self, keys: list[tuple[int, int]]) -> list[tuple[int, int]]:
         """Keys whose tiles fail the checksum comparison, in batch order.
 
@@ -188,11 +194,15 @@ class BatchVerifyEngine:
             tol += self.atol
             np.subtract(fresh, strips, out=fresh)
             np.abs(fresh, out=fresh)
-            bad = self._ws_bool(r * k * b).reshape(r, k * b)
-            np.greater(fresh, tol, out=bad)
-            if not bad.any():
+            # checksum_mismatch, in place: ok = (|δ| <= tol) & finite(tol).
+            ok = self._ws_bool("ok", r * k * b).reshape(r, k * b)
+            finite = self._ws_bool("finite", r * k * b).reshape(r, k * b)
+            np.less_equal(fresh, tol, out=ok)
+            np.isfinite(tol, out=finite)
+            np.logical_and(ok, finite, out=ok)
+            if ok.all():
                 continue
-            tile_bad = bad.reshape(r, k, b).any(axis=(0, 2))
+            tile_bad = ~ok.reshape(r, k, b).all(axis=(0, 2))
             flagged.extend(key for key, hit in zip(run.keys(), tile_bad) if hit)
         return flagged
 

@@ -15,6 +15,8 @@ This is the verification half of the ABFT machinery (Section IV-C):
                                          (storage error in the checksum):
                                          refresh it from the data
    δ₁ ≈ 0, δ₂ ≠ 0                        checksum row 2 corrupted: refresh
+   a checksum sum of the data is         one NaN/inf/overflowing entry:
+   non-finite                            rebuild it from checksum row 1
    anything else                         uncorrectable → restart
    ====================================  ===================================
 
@@ -33,7 +35,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.batchverify import BatchVerifyEngine
-from repro.core.multierror import MultiErrorCodec, vandermonde_weights
+from repro.core.multierror import (
+    MultiErrorCodec,
+    checksum_mismatch,
+    nonfinite_culprit,
+    vandermonde_weights,
+)
 from repro.desim.task import Task
 from repro.hetero.context import ExecutionContext
 from repro.hetero.costmodel import KernelCost
@@ -269,6 +276,8 @@ class Verifier:
         return [(i, j) for j in range(nb) for i in range(j, nb)]
 
 
+# Non-finite sums are flagged explicitly, so their warnings are noise.
+@np.errstate(over="ignore", invalid="ignore")
 def check_tile_strip(
     key: tuple[int, int],
     tile: np.ndarray,
@@ -302,7 +311,7 @@ def check_tile_strip(
     fresh = weights @ tile
     tol = rtol * (weights @ np.abs(tile)) + atol
     delta = fresh - strip
-    bad = np.abs(delta) > tol
+    bad = checksum_mismatch(delta, tol)
     if not bad.any():
         return
     cols = np.nonzero(bad.any(axis=0))[0]
@@ -316,7 +325,7 @@ def check_tile_strip(
     # the fresh tolerance catches that and escalates to a restart.
     fresh2 = weights @ tile
     tol2 = rtol * (weights @ np.abs(tile)) + atol
-    if (np.abs(fresh2 - strip) > tol2).any():
+    if checksum_mismatch(fresh2 - strip, tol2).any():
         raise UnrecoverableError(
             f"tile {key}: corruption persists after correction", block=key
         )
@@ -332,12 +341,32 @@ def _fix_column(
     stats: VerifyStats,
 ) -> None:
     b = tile.shape[0]
+    if not (np.isfinite(fresh[:, col]).all() and np.isfinite(tol[:, col]).all()):
+        # The data itself made a checksum sum non-finite: a NaN/inf entry,
+        # or one so large (an exponent-MSB flip) that its v₂-weighted sum
+        # overflowed.  δ₂/δ₁ locates nothing then, and δ₁ alone would look
+        # like a corrupted checksum; blame the culprit entry directly and
+        # let the confirm step judge the rebuild.
+        culprit = nonfinite_culprit(tile[:, col])
+        if culprit is None:
+            raise UnrecoverableError(
+                f"tile {key} column {col}: several non-finite entries",
+                block=key,
+            )
+        _rebuild(key, tile, strip, culprit, col, stats)
+        return
     d1 = fresh[0, col] - strip[0, col]
     d2 = fresh[1, col] - strip[1, col]
-    bad1 = abs(d1) > tol[0, col]
-    bad2 = abs(d2) > tol[1, col]
+    # ``not |δ| <= tol``: a NaN δ (a corrupted strip) is a mismatch.
+    bad1 = not abs(d1) <= tol[0, col]
+    bad2 = not abs(d2) <= tol[1, col]
     if bad1 and bad2:
         ratio = d2 / d1
+        if not np.isfinite(ratio):
+            raise UnrecoverableError(
+                f"tile {key} column {col}: both checksums non-finite",
+                block=key,
+            )
         row = round(ratio)
         if abs(ratio - row) > _LOCATOR_SLACK or not 1 <= row <= b:
             raise UnrecoverableError(
@@ -345,15 +374,7 @@ def _fix_column(
                 "valid row — more than one error in this column",
                 block=key,
             )
-        # Reconstruct rather than subtract δ₁: the stored checksum minus
-        # the exact sum of the *other* (clean) column elements recovers
-        # the true value with no cancellation even when the corruption
-        # is astronomically larger than the data (e.g. a top-exponent
-        # bit flip) — subtracting δ₁ would lose the value to rounding.
-        others = np.delete(tile[:, col], row - 1)
-        tile[row - 1, col] = strip[0, col] - others.sum()
-        stats.data_corrections += 1
-        stats.corrected_sites.append((key, row - 1, col))
+        _rebuild(key, tile, strip, row - 1, col, stats)
     elif bad1:
         # δ₂ consistent but δ₁ off: checksum row 1 itself was hit.
         strip[0, col] = fresh[0, col]
@@ -361,6 +382,28 @@ def _fix_column(
     else:
         strip[1, col] = fresh[1, col]
         stats.checksum_corrections += 1
+
+
+def _rebuild(
+    key: tuple[int, int],
+    tile: np.ndarray,
+    strip: np.ndarray,
+    row: int,
+    col: int,
+    stats: VerifyStats,
+) -> None:
+    """Rebuild ``tile[row, col]`` from the v₁ checksum.
+
+    Reconstruct rather than subtract δ₁: the stored checksum minus the
+    exact sum of the *other* (clean) column elements recovers the true
+    value with no cancellation even when the corruption is astronomically
+    larger than the data (e.g. a top-exponent bit flip) — subtracting δ₁
+    would lose the value to rounding.
+    """
+    others = np.delete(tile[:, col], row)
+    tile[row, col] = strip[0, col] - others.sum()
+    stats.data_corrections += 1
+    stats.corrected_sites.append((key, row, col))
 
 
 def require_consistent(verifier: Verifier, keys: list[tuple[int, int]]) -> None:
@@ -371,5 +414,5 @@ def require_consistent(verifier: Verifier, keys: list[tuple[int, int]]) -> None:
         strip = verifier.chk.tile_view(key)
         fresh = verifier._weights @ tile
         tol = verifier.rtol * (verifier._weights @ np.abs(tile)) + verifier.atol
-        if (np.abs(fresh - strip) > tol).any():
+        if checksum_mismatch(fresh - strip, tol).any():
             raise UnrecoverableError(f"tile {key} inconsistent", block=key)

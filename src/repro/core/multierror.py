@@ -72,6 +72,35 @@ def encode_strip(tile: np.ndarray, n_checksums: int = 2) -> np.ndarray:
 encode = encode_strip
 
 
+def checksum_mismatch(delta: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """Element-wise "this checksum disagrees" test for ``delta = fresh − strip``.
+
+    ``|δ| > tol`` alone fails open on non-finite values: a NaN δ compares
+    False, and an entry so large that its v₂-weighted sum overflows gives
+    δ₂ = tol₂ = inf.  So anything non-finite in δ or in the tolerance is
+    a mismatch too (δ is non-finite whenever the fresh sum is).  On finite
+    values this is exactly ``|δ| > tol``.
+    """
+    return ~((np.abs(delta) <= tol) & np.isfinite(tol))
+
+
+def nonfinite_culprit(column: np.ndarray) -> int | None:
+    """Row of the one entry that makes *column*'s checksum sums non-finite.
+
+    That is the column's only NaN/inf entry, or — when every entry is
+    finite but a weighted sum overflowed (an exponent-MSB flip) — its
+    largest-magnitude entry.  None when several entries are non-finite:
+    one checksum cannot rebuild them.  The caller's post-correction
+    recheck decides whether the rebuilt value is consistent.
+    """
+    bad = np.flatnonzero(~np.isfinite(column))
+    if bad.size > 1:
+        return None
+    if bad.size == 1:
+        return int(bad[0])
+    return int(np.argmax(np.abs(column)))
+
+
 @dataclass(frozen=True)
 class ColumnCorrection:
     """One decoded column: error rows (0-based) and magnitudes."""
@@ -131,6 +160,8 @@ class MultiErrorCodec:
 
     # -- unknown-location correction -------------------------------------------
 
+    # Non-finite sums are handled explicitly, so their warnings are noise.
+    @np.errstate(over="ignore", invalid="ignore")
     def verify_and_correct(
         self, tile: np.ndarray, strip: np.ndarray
     ) -> list[ColumnCorrection]:
@@ -148,14 +179,32 @@ class MultiErrorCodec:
         tol = self._tolerance(tile)
         syndromes = fresh - strip
         corrections: list[ColumnCorrection] = []
-        bad_cols = np.nonzero((np.abs(syndromes) > tol).any(axis=0))[0]
+        bad_cols = np.nonzero(checksum_mismatch(syndromes, tol).any(axis=0))[0]
         for col in bad_cols:
-            corr = self._decode_column(syndromes[:, col], tol[:, col], int(col))
+            if np.isfinite(fresh[:, col]).all() and np.isfinite(tol[:, col]).all():
+                corr = self._decode_column(syndromes[:, col], tol[:, col], int(col))
+            else:
+                corr = self._nonfinite_column(tile, int(col))
             self._apply(tile, strip, corr)
             corrections.append(corr)
         if bad_cols.size:
             self._recheck(tile, strip, self._syndrome_slack(syndromes))
         return corrections
+
+    @staticmethod
+    def _nonfinite_column(tile: np.ndarray, col: int) -> ColumnCorrection:
+        """The data made this column's sums non-finite, so its syndromes
+        carry no locator: blame the culprit entry directly (the rebuild
+        from S₀ and the recheck decide whether that was right).  The
+        recorded magnitude is the corrupted entry itself."""
+        row = nonfinite_culprit(tile[:, col])
+        if row is None:
+            raise UnrecoverableError(
+                f"column {col}: several non-finite entries"
+            )
+        return ColumnCorrection(
+            column=col, rows=(row,), magnitudes=(float(tile[row, col]),)
+        )
 
     def _apply(
         self, tile: np.ndarray, strip: np.ndarray, corr: ColumnCorrection
@@ -187,15 +236,21 @@ class MultiErrorCodec:
         tol2 = self._tolerance(tile)
         if slack is not None:
             tol2 = tol2 + slack[None, :]
-        if (np.abs(fresh2 - strip) > tol2).any():
+        if checksum_mismatch(fresh2 - strip, tol2).any():
             raise UnrecoverableError(
                 "multi-error correction did not restore consistency"
             )
 
     @staticmethod
     def _syndrome_slack(syndromes: np.ndarray) -> np.ndarray:
-        """Per-column recheck slack: ~64 ulps of the corrected magnitude."""
-        return 64.0 * np.finfo(np.float64).eps * np.abs(syndromes).max(axis=0)
+        """Per-column recheck slack: ~64 ulps of the corrected magnitude.
+
+        Zero where a syndrome is non-finite: such a column is rebuilt from
+        S₀ without cancellation, and an infinite slack would wave any
+        rebuild through.
+        """
+        mag = np.abs(syndromes).max(axis=0)
+        return 64.0 * np.finfo(np.float64).eps * np.where(np.isfinite(mag), mag, 0.0)
 
     # -- erasure correction ------------------------------------------------------
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.blas import flops as fl
 from repro.blas.dense import trsm_right_lt
-from repro.core.multierror import vandermonde_weights
+from repro.core.multierror import checksum_mismatch, vandermonde_weights
 from repro.util.exceptions import UnrecoverableError
 from repro.util.formatting import render_table
 from repro.util.validation import check_block_size, require
@@ -67,13 +67,15 @@ class RowChecksumCodec:
     def encode(self, tile: np.ndarray) -> np.ndarray:
         return tile @ self.weights.T
 
+    # Non-finite sums are flagged explicitly, so their warnings are noise.
+    @np.errstate(over="ignore", invalid="ignore")
     def verify_and_correct(self, tile: np.ndarray, strip: np.ndarray) -> int:
         """Correct ≤1 error per block row, in place; returns corrections."""
         require(strip.shape == (tile.shape[0], 2), "strip must be B×2")
         fresh = self.encode(tile)
         tol = np.abs(tile) @ self.weights.T * self.rtol + self.atol
         delta = fresh - strip
-        bad_rows = np.nonzero((np.abs(delta) > tol).any(axis=1))[0]
+        bad_rows = np.nonzero(checksum_mismatch(delta, tol).any(axis=1))[0]
         fixed = 0
         for row in bad_rows:
             d1, d2 = delta[row, 0], delta[row, 1]
@@ -84,6 +86,10 @@ class RowChecksumCodec:
                 strip[row, 0] = fresh[row, 0]
                 continue
             ratio = d2 / d1
+            if not np.isfinite(ratio):
+                # NaN/inf data or an overflowed sum: this codec does not
+                # locate it, so escalate rather than guess.
+                raise UnrecoverableError(f"row {row}: non-finite checksum delta")
             col = round(ratio)
             if abs(ratio - col) > _LOCATOR_SLACK or not 1 <= col <= self.block_size:
                 raise UnrecoverableError(
@@ -96,7 +102,7 @@ class RowChecksumCodec:
         if bad_rows.size:
             fresh2 = self.encode(tile)
             tol2 = np.abs(tile) @ self.weights.T * self.rtol + self.atol
-            if (np.abs(fresh2 - strip) > tol2).any():
+            if checksum_mismatch(fresh2 - strip, tol2).any():
                 raise UnrecoverableError("row-checksum correction failed")
         return fixed
 

@@ -14,6 +14,7 @@ fault patterns; the deterministic tests pin the known raise shapes.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -147,6 +148,20 @@ def test_engine_encode_matches_host_reference(block_size, nb, n_checksums, seed)
         BlockedMatrix(a.copy(), block_size), n_checksums=n_checksums
     )
     np.testing.assert_array_equal(chk.array, reference)
+
+
+@pytest.mark.parametrize("n_checksums", [2, 3])
+@pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, 1e308])
+def test_nonfinite_entry_is_flagged_and_rebuilt_in_both_modes(delta, n_checksums):
+    """NaN compares False and an overflowed weighted sum gives δ = tol =
+    inf; the batched engine must still flag the tile, like the per-tile
+    path, and both must rebuild the entry as a data correction."""
+    a = random_spd(32, rng=5)
+    stats, raised = _assert_modes_identical(a, 8, n_checksums, [((2, 1), 6, 3, delta)])
+    assert raised is None
+    assert stats.data_corrections == 1
+    assert stats.checksum_corrections == 0
+    assert stats.corrected_sites == [((2, 1), 6, 3)]
 
 
 class TestUnrecoverableParity:

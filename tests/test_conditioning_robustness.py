@@ -78,6 +78,35 @@ class TestNoFalsePositives:
             enhanced_potrf(machine, a=a.copy(), block_size=BS, injector=no_faults())
 
 
+class TestConditioningEnvelope:
+    """Fault-free runs at the driver's real tile sizes flag nothing.
+
+    The POTF2/TRSM kernels set how far a factor's data and its maintained
+    strips drift apart; at B=128 an explicit-inverse TRSM must still keep
+    that drift inside the conditioning-aware threshold.  (The fixed
+    default rtol false-flags at cond 1e8 for n=1024/B=128 with any of
+    the kernels tried, as ``recommended_rtol`` documents.)
+    """
+
+    @pytest.mark.parametrize("n,bs", [(512, 32), (1024, 128)])
+    @pytest.mark.parametrize("cond", [1e6, 1e8])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_no_column_flagged(self, machine, n, bs, cond, seed):
+        a = ill_conditioned_spd(n, cond, rng=seed)
+        res = enhanced_potrf(
+            machine, a=a, block_size=bs, injector=no_faults(), config=config_for(cond)
+        )
+        assert res.stats.columns_flagged == 0, (n, cond, seed)
+        assert res.restarts == 0, (n, cond, seed)
+
+    @pytest.mark.parametrize("n,bs", [(512, 32), (1024, 128)])
+    def test_default_threshold_clean_at_cond_1e6(self, machine, n, bs):
+        a = ill_conditioned_spd(n, 1e6, rng=4)
+        res = enhanced_potrf(machine, a=a, block_size=bs, injector=no_faults())
+        assert res.stats.columns_flagged == 0
+        assert res.restarts == 0
+
+
 class TestDetectionSurvives:
     @pytest.mark.parametrize("cond", CONDITIONS)
     def test_fault_still_caught_and_fixed(self, machine, cond):

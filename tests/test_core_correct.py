@@ -6,7 +6,8 @@ import pytest
 from repro.blas.blocked import BlockedMatrix
 from repro.blas.spd import random_spd
 from repro.core.checksum import encode_blocked_host
-from repro.core.correct import Verifier
+from repro.core.correct import Verifier, VerifyStats, check_tile_strip
+from repro.core.multierror import MultiErrorCodec, vandermonde_weights
 from repro.faults.bitflip import flip_bit
 from repro.util.exceptions import UnrecoverableError
 
@@ -103,6 +104,79 @@ class TestChecksumErrorRepair:
         v.verify_batch([(0, 0)], "t")
         assert v.stats.checksum_corrections == 1
         assert v.stats.data_corrections == 0
+
+
+def _exponent_msb_case(value, n_checksums=2):
+    """A 128×128 tile with entries in U(−0.05, 0.05), *value* at (100, 5),
+    its strip, a pristine copy — then bit 62 (the exponent MSB) of that
+    entry flipped.  0.75 flips to 1.35e308, 1.5 to NaN, 1.0 to inf."""
+    tile = np.random.default_rng(0).uniform(-0.05, 0.05, (128, 128))
+    tile[100, 5] = value
+    strip = vandermonde_weights(128, n_checksums) @ tile
+    pristine = tile.copy()
+    flip_bit(tile, (100, 5), 62)
+    return tile, strip, pristine
+
+
+class TestNonFiniteData:
+    """An entry whose checksum sums are NaN, inf or overflow is a data
+    error: it must be rebuilt (or escalated), never blamed on the strip."""
+
+    @pytest.mark.parametrize("value", [0.75, 1.5, 1.0])
+    def test_exponent_msb_flip_is_a_data_correction(self, value):
+        tile, strip, pristine = _exponent_msb_case(value)
+        assert not np.isfinite(tile[100, 5]) or abs(tile[100, 5]) > 1e307
+        stats = VerifyStats()
+        check_tile_strip(
+            (0, 0), tile, strip, vandermonde_weights(128, 2),
+            rtol=1e-9, atol=1e-12, stats=stats,
+        )
+        assert (stats.data_corrections, stats.checksum_corrections) == (1, 0)
+        assert stats.corrected_sites == [((0, 0), 100, 5)]
+        np.testing.assert_allclose(tile, pristine, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("value", [0.75, 1.5])
+    def test_exponent_msb_flip_through_the_verifier(self, tardis, value):
+        v, a = make_verified_setup(tardis)
+        tile = v.matrix.tile_view((2, 1))
+        tile[3, 4] = value
+        v.chk.tile_view((2, 1))[:] = vandermonde_weights(8, 2) @ tile
+        pristine = a.copy()
+        flip_bit(tile, (3, 4), 62)
+        v.verify_batch(v.lower_keys(), "t")
+        assert (v.stats.data_corrections, v.stats.checksum_corrections) == (1, 0)
+        np.testing.assert_allclose(a, pristine, rtol=0, atol=1e-12)
+
+    def test_two_nonfinite_entries_in_a_column_escalate(self):
+        tile, strip, _ = _exponent_msb_case(1.5)
+        tile[7, 5] = np.inf
+        with pytest.raises(UnrecoverableError, match="non-finite"):
+            check_tile_strip(
+                (0, 0), tile, strip, vandermonde_weights(128, 2),
+                rtol=1e-9, atol=1e-12, stats=VerifyStats(),
+            )
+
+    def test_nan_in_the_strip_is_a_checksum_correction(self, tardis):
+        v, a = make_verified_setup(tardis)
+        pristine = a.copy()
+        v.chk.tile_view((1, 0))[0, 2] = np.nan
+        v.verify_batch(v.lower_keys(), "t")
+        assert (v.stats.data_corrections, v.stats.checksum_corrections) == (0, 1)
+        np.testing.assert_array_equal(a, pristine)
+        assert np.isfinite(v.chk.array).all()
+
+    @pytest.mark.parametrize("value", [0.75, 1.5])
+    def test_multi_checksum_codec_rebuilds_the_entry(self, value):
+        tile, strip, pristine = _exponent_msb_case(value, n_checksums=3)
+        corrections = MultiErrorCodec(128, n_checksums=3).verify_and_correct(tile, strip)
+        assert [(c.column, c.rows) for c in corrections] == [(5, (100,))]
+        np.testing.assert_allclose(tile, pristine, rtol=0, atol=1e-14)
+
+    def test_multi_checksum_codec_escalates_two_nonfinite(self):
+        tile, strip, _ = _exponent_msb_case(1.5, n_checksums=3)
+        tile[7, 5] = np.nan
+        with pytest.raises(UnrecoverableError):
+            MultiErrorCodec(128, n_checksums=3).verify_and_correct(tile, strip)
 
 
 class TestUncorrectable:

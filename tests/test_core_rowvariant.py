@@ -68,6 +68,16 @@ class TestCodec:
         with pytest.raises(UnrecoverableError):
             codec.verify_and_correct(tile16, strip)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
+    def test_nonfinite_entry_escalates(self, tile16, bad):
+        """A NaN δ compares False and an overflowed sum gives δ = tol = inf;
+        neither may pass as clean or as a checksum repair."""
+        codec = RowChecksumCodec(16)
+        strip = codec.encode(tile16)
+        tile16[3, 5] = bad
+        with pytest.raises(UnrecoverableError):
+            codec.verify_and_correct(tile16, strip)
+
     def test_two_errors_same_column_ok(self, tile16):
         """The dual of the column codec: same-column errors are fine here."""
         codec = RowChecksumCodec(16)

@@ -39,6 +39,10 @@ class ScriptedExecutor(Executor):
             action = self.script.pop(0)
             if action == "crash":
                 raise WorkerCrashedError("scripted pool-worker death")
+            if action == "nan_residual":
+                outcome = InlineExecutor(metrics=self.metrics).run_sync(request)
+                outcome.residual = float("nan")
+                return outcome
         return InlineExecutor(metrics=self.metrics).run_sync(request)
 
 
@@ -135,6 +139,19 @@ class TestLadderRungs:
         m = service.metrics
         assert m["service_incorrect_results_total"].value() == 1
         assert m["service_jobs_failed_total"].value() == 1
+        assert _events(records, "failed")
+
+    def test_residual_gate_fails_a_nan_residual(self, tmp_path):
+        # NaN compares False against any tolerance; the gate must still
+        # treat it as a failed factor, not as a pass.
+        service, records = _run_one(tmp_path, script=["nan_residual"])
+        result = service.results[0]
+        assert result.status is JobStatus.FAILED
+        assert "residual nan" in (result.error or "")
+        m = service.metrics
+        assert m["service_incorrect_results_total"].value() == 1
+        assert m["service_jobs_failed_total"].value() == 1
+        assert m["service_jobs_completed_total"].value() == 0
         assert _events(records, "failed")
 
     def test_journal_counts_every_record(self, tmp_path):
